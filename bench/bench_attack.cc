@@ -17,7 +17,8 @@
 // in full mode, with save/load timing) under a DenseAllocGuard: any n×n
 // tensor allocation sneaking back into the protocol aborts the bench, so
 // the CI quick gate hard-fails dense regressions.  Rows record per-phase
-// latency and process peak RSS.
+// latency and the row's own peak RSS (VmHWM reset before each row; null
+// where the reset is not allowed).
 //
 // Each size also measures multi-target throughput (targets/sec) through the
 // thread-pool driver: the serial (1-thread) driver vs GEATTACK_BENCH_ATTACK_
@@ -240,6 +241,16 @@ void WriteRows(std::ostream& os, const std::vector<Row>& rows,
                         : r.dense_ms / r.sparse_ms);
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
+}
+
+/// Resets the process peak resident set (VmHWM) to the current RSS, so the
+/// next PeakRssMb() covers only what ran since.  False when the kernel does
+/// not allow it (no /proc, or clear_refs not writable).
+bool ResetPeakRss() {
+  std::ofstream refs("/proc/self/clear_refs");
+  refs << "5";
+  refs.flush();
+  return static_cast<bool>(refs);
 }
 
 /// Process peak resident set (VmHWM) in MiB; -1 if /proc is unavailable.
@@ -755,12 +766,15 @@ struct ScalingRow {
   /// Largest single dense allocation (elements) observed while the guard
   /// was armed around the protocol steps.
   int64_t guard_largest_alloc = 0;
+  /// Peak RSS of this row alone; < 0 (null in the json) when VmHWM could
+  /// not be reset, since the lifetime figure would include earlier rows.
   double peak_rss_mb = -1.0;
   bool ok = false;
 };
 
 ScalingRow RunScalingRow(int64_t n, bool quick, bool io_round_trip) {
   ScalingRow row;
+  const bool rss_reset = ResetPeakRss();
   Rng rng(77000 + static_cast<uint64_t>(n));
   CitationGraphConfig cfg;
   cfg.num_nodes = n;
@@ -863,7 +877,7 @@ ScalingRow RunScalingRow(int64_t n, bool quick, bool io_round_trip) {
     row.true_adversarial_pruned = defense.true_adversarial_pruned;
     row.guard_largest_alloc = DenseAllocGuard::largest_observed();
   }
-  row.peak_rss_mb = PeakRssMb();
+  row.peak_rss_mb = rss_reset ? PeakRssMb() : -1.0;
   row.ok = true;
   std::cerr << "[bench_attack] scaling protocol: attack " << row.attack_ms
             << " ms, explain " << row.explain_ms << " ms, defend "
@@ -1276,9 +1290,9 @@ int RunHarness(const std::string& json_path, bool quick) {
         << ",\"defend_ms\":" << r.defend_ms
         << ",\"pruned_edges\":" << r.pruned_edges
         << ",\"true_adversarial_pruned\":" << r.true_adversarial_pruned
-        << ",\"guard_largest_alloc\":" << r.guard_largest_alloc
-        << ",\"peak_rss_mb\":" << r.peak_rss_mb
-        << ",\"ok\":" << (r.ok ? "true" : "false") << "}"
+        << ",\"guard_largest_alloc\":" << r.guard_largest_alloc << ",";
+    WriteNullableMs(out, "peak_rss_mb", r.peak_rss_mb);
+    out << ",\"ok\":" << (r.ok ? "true" : "false") << "}"
         << (i + 1 < scaling.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"equivalence_gate\": " << (gate_ok ? "\"pass\"" : "\"fail\"")

@@ -13,9 +13,9 @@
 //     make admissions durable before Submit returns, `g` records log each
 //     churn batch (with the tickets it re-pinned), and `t` records log each
 //     finalized ticket.  AttackService::Recover replays the WAL in file
-//     order — rebuilding every epoch, completed result, and still-pending
-//     ticket from journal records alone (no clock bits) — and re-runs only
-//     the remainder.
+//     order — walking the epoch chain to its current epoch and rebuilding
+//     every completed result and still-pending ticket from journal records
+//     alone (no clock bits) — and re-runs only the remainder.
 //
 // On-disk format (line-oriented text, reusing src/graph/io_text.h):
 //

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <utility>
 
 #include "src/graph/subgraph.h"
@@ -200,15 +201,10 @@ RecoveryReport AttackService::Recover() {
     }
   }
 
-  // Epoch chains rebuild deterministically from the `g` records; submits
-  // pin the snapshot their record names; completions replay their recorded
-  // results.  No wall-clock is read from the journal (none is in it).
-  std::map<std::string, std::map<int64_t, std::shared_ptr<const GraphSnapshot>>>
-      epochs;
-  for (const auto& kv : graphs_) {
-    GEA_CHECK(kv.second->epoch == 0);
-    epochs[kv.first][0] = kv.second;
-  }
+  // Epoch chains rebuild deterministically from the `g` records, and only
+  // the current epoch is kept: older ones live on solely through the pins
+  // of tickets still pending.  Completions replay their recorded results.
+  // No wall-clock is read from the journal (none is in it).
   for (const ServiceJournalEvent& ev : load.events) {
     switch (ev.kind) {
       case ServiceJournalEvent::Kind::kChurn: {
@@ -222,7 +218,6 @@ RecoveryReport AttackService::Recover() {
           batch.removed.push_back({e.u, e.v, 1.0});
         auto next = ApplyChurn(git->second, batch);
         git->second = next;
-        epochs[rec.version][rec.epoch] = next;
         for (const int64_t ticket : rec.bumped_tickets) {
           const auto eit = entries_.find(ticket);
           GEA_CHECK(eit != entries_.end());
@@ -238,10 +233,10 @@ RecoveryReport AttackService::Recover() {
       case ServiceJournalEvent::Kind::kSubmit: {
         const ServiceSubmitRecord& rec = ev.submit;
         GEA_CHECK(entries_.count(rec.ticket) == 0);
-        const auto vit = epochs.find(rec.version);
-        GEA_CHECK(vit != epochs.end());
-        const auto sit = vit->second.find(rec.epoch);
-        GEA_CHECK(sit != vit->second.end());
+        // Submit pins and logs under one mu_ hold, as UpdateGraph logs `g`
+        // and publishes, so the record names its version's current epoch.
+        const auto git = graphs_.find(rec.version);
+        GEA_CHECK(git != graphs_.end() && git->second->epoch == rec.epoch);
         auto entry = std::make_unique<Entry>();
         Entry* e = entry.get();
         e->ticket = rec.ticket;
@@ -252,7 +247,7 @@ RecoveryReport AttackService::Recover() {
         e->request.priority = static_cast<int32_t>(rec.priority);
         // deadline_ms stays 0: wall-clock deadlines are never journaled
         // (no clock bits), so recovered work re-runs without one.
-        e->snap = sit->second;
+        e->snap = git->second;
         e->accepted_index = rec.accepted_index;
         e->submitted_at = std::chrono::steady_clock::now();
         e->out.accepted_index = e->accepted_index;
@@ -466,6 +461,11 @@ ServiceStats AttackService::stats() const {
   ServiceStats snapshot = stats_;
   snapshot.queue_depth = static_cast<int64_t>(pending_.size());
   snapshot.in_flight = in_flight_;
+  std::set<const GraphSnapshot*> live;
+  for (const auto& kv : graphs_) live.insert(kv.second.get());
+  for (const auto& kv : entries_)
+    if (kv.second->snap != nullptr) live.insert(kv.second->snap.get());
+  snapshot.live_epochs = static_cast<int64_t>(live.size());
   return snapshot;
 }
 
@@ -492,6 +492,7 @@ void AttackService::CountOutcome(StatusCode code) {
 void AttackService::Finalize(Entry* e, AttackResult result, bool from_replay) {
   e->out.result = std::move(result);
   e->out.epoch = e->snap->epoch;
+  e->snap.reset();  // Done work never runs again: let its epoch die now.
   e->out.latency_ms =
       from_replay ? 0.0
                   : std::chrono::duration<double, std::milli>(

@@ -16,15 +16,23 @@
 //   * WAL recovery is byte-identical: a fresh service replaying the journal
 //     serves every completed result bit-for-bit, and a torn tail turns
 //     exactly the lost ticket back into pending work that recomputes to the
-//     same bits.
+//     same bits;
+//   * epoch lifetime: an epoch lives only while it is current or a queued /
+//     running ticket pins it — finished (even un-taken) results and
+//     Recover() hold no others, as weak_ptrs and ServiceStats::live_epochs
+//     show.
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -130,20 +138,80 @@ AttackResult ReplayOne(const AttackContext& ctx, const TargetedAttack& attack,
   return out.empty() ? AttackResult{} : out[0];
 }
 
-/// Blocks until the dispatcher has picked up the parked slow wave.
-void WaitUntilWaveInFlight(const AttackService& service) {
+/// Blocks until `reached(service.stats())` holds.
+void WaitForStats(const AttackService& service,
+                  const std::function<bool(const ServiceStats&)>& reached,
+                  const std::string& what) {
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
-    const ServiceStats st = service.stats();
-    if (st.in_flight > 0 && st.queue_depth == 0) return;
+    if (reached(service.stats())) return;
     if (std::chrono::steady_clock::now() > give_up) {
-      ADD_FAILURE() << "dispatcher never picked up the parked wave";
+      ADD_FAILURE() << "service never reached: " << what;
       return;
     }
     std::this_thread::yield();
   }
 }
+
+/// Blocks until the dispatcher has picked up the parked slow wave.
+void WaitUntilWaveInFlight(const AttackService& service) {
+  WaitForStats(
+      service,
+      [](const ServiceStats& st) {
+        return st.in_flight > 0 && st.queue_depth == 0;
+      },
+      "the parked wave in flight");
+}
+
+/// Parks every Attack() on a gated target node until Open(node), so a wave
+/// stays in flight for exactly as long as a test needs — no timing margin.
+/// Declare a GateOpener after the service so a failing test cannot leave
+/// the dispatcher parked while the service joins it.
+class GatedAttack : public TargetedAttack {
+ public:
+  GatedAttack(const TargetedAttack* inner, std::set<int64_t> gated)
+      : inner_(inner), state_(std::make_shared<State>()) {
+    state_->closed = std::move(gated);
+  }
+
+  void Open(int64_t node) const {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->closed.erase(node);
+    state_->cv.notify_all();
+  }
+  void OpenAll() const {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->closed.clear();
+    state_->cv.notify_all();
+  }
+
+  std::string name() const override { return inner_->name(); }
+  AttackResult Attack(const AttackContext& ctx, const AttackRequest& request,
+                      Rng* rng) const override {
+    {
+      std::unique_lock<std::mutex> lock(state_->mu);
+      state_->cv.wait(lock, [this, &request] {
+        return state_->closed.count(request.target_node) == 0;
+      });
+    }
+    return inner_->Attack(ctx, request, rng);
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<int64_t> closed;
+  };
+  const TargetedAttack* inner_;
+  std::shared_ptr<State> state_;
+};
+
+struct GateOpener {
+  const GatedAttack* attack;
+  ~GateOpener() { attack->OpenAll(); }
+};
 
 /// First `count` absent (u, v) pairs — valid churn additions.
 std::vector<Edge> AbsentEdges(const Graph& g, size_t count) {
@@ -721,6 +789,257 @@ TEST(WalRecoveryTest, ReplayIsByteIdenticalAndTornTailRecomputes) {
                               "post-torn-tail ticket " + std::to_string(i),
                               /*replayed=*/i != lost);
     EXPECT_EQ(service.stats().replayed_results, 5);
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Epoch lifetime: an epoch lives only while something can still run on it.
+// ---------------------------------------------------------------------------
+
+AttackServiceRequest RequestOf(const AttackRequest& r) {
+  AttackServiceRequest req;
+  req.graph = "g";
+  req.target_node = r.target_node;
+  req.target_label = r.target_label;
+  req.budget = r.budget;
+  return req;
+}
+
+TEST(EpochLifetimeTest, FinishedTicketsReleaseTheirEpochBeforeTake) {
+  Fixture* f = SharedFixture();
+  ASSERT_GE(f->requests.size(), 2u);
+  const FgaAttack inner(/*targeted=*/true);
+  AttackServiceConfig cfg;
+  cfg.base_seed = 7301;
+  cfg.num_threads = 2;
+  cfg.wave_size = 2;
+  AttackService service(cfg);
+  ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
+                                    /*dense_context=*/false).ok());
+
+  const size_t churns = 4;
+  const std::vector<Edge> adds = AbsentEdges(f->data.graph, churns);
+  ASSERT_EQ(adds.size(), churns);
+  std::vector<std::weak_ptr<const GraphSnapshot>> epochs = {
+      service.CurrentSnapshot("g")};
+  std::vector<int64_t> tickets;
+  const auto submit_two = [&] {
+    for (int k = 0; k < 2; ++k) {
+      const Admission a = service.Submit(
+          RequestOf(f->requests[tickets.size() % f->requests.size()]));
+      EXPECT_TRUE(a.status.ok()) << a.status.ToString();
+      tickets.push_back(a.ticket);
+    }
+  };
+  // Tickets land before every churn, so some run on each epoch.
+  for (size_t c = 0; c < churns; ++c) {
+    submit_two();
+    const ChurnResult cr = service.UpdateGraph("g", BatchOf({adds[c]}, {}));
+    ASSERT_TRUE(cr.status.ok()) << cr.status.ToString();
+    epochs.push_back(service.CurrentSnapshot("g"));
+  }
+  submit_two();
+  service.Drain();
+
+  // Everything finished and nothing is taken: only the current epoch lives.
+  for (size_t k = 0; k + 1 < epochs.size(); ++k)
+    EXPECT_TRUE(epochs[k].expired()) << "epoch " << k;
+  EXPECT_FALSE(epochs.back().expired());
+  EXPECT_EQ(service.stats().live_epochs, 1);
+
+  for (const int64_t ticket : tickets) {
+    const ServiceResult r = service.Take(ticket);
+    EXPECT_TRUE(r.result.status.ok()) << r.result.status.ToString();
+    EXPECT_GE(r.epoch, 0);
+    EXPECT_LE(r.epoch, static_cast<int64_t>(churns));
+  }
+}
+
+TEST(EpochLifetimeTest, UnbumpedQueuedTicketPinsExactlyItsEpoch) {
+  const TwoComponentScenario s = MakeTwoComponentScenario();
+  GeAttackConfig gcfg;
+  gcfg.hops = 2;
+  const GeAttack geattack(gcfg);
+  const int64_t parked_node = 2;
+  const int64_t later_node = 4;
+  const GatedAttack attack(&geattack, {parked_node, later_node});
+
+  AttackServiceConfig cfg;
+  cfg.base_seed = 6131;
+  cfg.num_threads = 1;
+  cfg.wave_size = 1;
+  cfg.churn_ball_hops = 2;  // == GeAttackConfig::hops, the proof's floor.
+  AttackService service(cfg);
+  const GateOpener opener{&attack};
+  ASSERT_TRUE(service.RegisterGraph("g", s.data, *s.model, NoOwn(&attack),
+                                    /*dense_context=*/false).ok());
+  const std::weak_ptr<const GraphSnapshot> epoch0 =
+      service.CurrentSnapshot("g");
+
+  // One ticket parks on epoch 0; node 0's ticket queues behind it.
+  const Admission parked = service.Submit(RequestOf({parked_node, 1, 1}));
+  ASSERT_TRUE(parked.status.ok()) << parked.status.ToString();
+  WaitUntilWaveInFlight(service);
+  const Admission queued = service.Submit(RequestOf({0, 1, 1}));
+  ASSERT_TRUE(queued.status.ok()) << queued.status.ToString();
+
+  // Two chords inside component B, outside node 0's ball: neither bumps.
+  ChurnBatch far1;
+  far1.added = {{20, 22, 1.0}};
+  ChurnBatch far2;
+  far2.added = {{24, 26, 1.0}};
+  const ChurnResult c1 = service.UpdateGraph("g", far1);
+  ASSERT_TRUE(c1.status.ok()) << c1.status.ToString();
+  EXPECT_EQ(c1.requeued, 0);
+  const std::weak_ptr<const GraphSnapshot> epoch1 =
+      service.CurrentSnapshot("g");
+  const ChurnResult c2 = service.UpdateGraph("g", far2);
+  ASSERT_TRUE(c2.status.ok()) << c2.status.ToString();
+  EXPECT_EQ(c2.epoch, 2);
+  EXPECT_EQ(c2.requeued, 0);
+  // Nothing ever pinned epoch 1, so it died the moment epoch 2 replaced it.
+  EXPECT_TRUE(epoch1.expired());
+  EXPECT_FALSE(epoch0.expired());
+  EXPECT_EQ(service.stats().live_epochs, 2);
+
+  // A deadline ticket on epoch 2 dispatches first (expiring-soonest) and
+  // parks, so once the epoch-0 wave is done the queued ticket alone pins
+  // epoch 0.
+  AttackServiceRequest later_request = RequestOf({later_node, 1, 1});
+  later_request.deadline_ms = 600000.0;
+  const Admission later = service.Submit(later_request);
+  ASSERT_TRUE(later.status.ok()) << later.status.ToString();
+  attack.Open(parked_node);
+  WaitForStats(
+      service,
+      [](const ServiceStats& st) {
+        return st.in_flight == 1 && st.queue_depth == 1;
+      },
+      "the deadline ticket in flight, node 0's ticket queued");
+  EXPECT_FALSE(epoch0.expired());
+  EXPECT_EQ(service.stats().live_epochs, 2);
+
+  attack.Open(later_node);
+  service.Drain();
+  EXPECT_TRUE(epoch0.expired());
+  EXPECT_EQ(service.stats().live_epochs, 1);
+
+  const ServiceResult rq = service.Take(queued.ticket);
+  ASSERT_TRUE(rq.result.status.ok()) << rq.result.status.ToString();
+  EXPECT_EQ(rq.epoch, 0);
+  ExpectSameEdges(rq.result, ReplayOne(s.ctx, geattack, 0, 1, rq),
+                  "unbumped ticket vs epoch-0 replay");
+  EXPECT_EQ(service.Take(parked.ticket).epoch, 0);
+  EXPECT_EQ(service.Take(later.ticket).epoch, 2);
+}
+
+TEST(EpochLifetimeTest, RecoverHoldsOnlyCurrentAndPendingEpochs) {
+  Fixture* f = SharedFixture();
+  ASSERT_GE(f->requests.size(), 5u);
+  const FgaAttack inner(/*targeted=*/true);
+  const std::string path =
+      testing::TempDir() + "geattack_epoch_lifetime_wal.txt";
+  std::remove(path.c_str());
+
+  AttackServiceConfig cfg;
+  cfg.base_seed = 9203;
+  cfg.num_threads = 2;
+  cfg.wave_size = 4;
+  cfg.journal_path = path;
+
+  const std::vector<Edge> adds = AbsentEdges(f->data.graph, 4);
+  ASSERT_EQ(adds.size(), 4u);
+  const int64_t parked = 4;
+  const int64_t parked_node = f->requests[ZU(parked)].target_node;
+  for (size_t i = 0; i < ZU(parked); ++i)
+    ASSERT_NE(f->requests[i].target_node, parked_node);
+  const auto submit = [&f](AttackService* service, size_t i) {
+    const Admission a = service->Submit(RequestOf(f->requests[i]));
+    EXPECT_TRUE(a.status.ok()) << a.status.ToString();
+    EXPECT_EQ(a.ticket, static_cast<int64_t>(i));
+  };
+  const auto churn = [](AttackService* service, const Edge& e) {
+    const ChurnResult cr = service->UpdateGraph("g", BatchOf({e}, {}));
+    EXPECT_TRUE(cr.status.ok()) << cr.status.ToString();
+  };
+
+  // --- Original run: two tickets on each of epochs 0 and 1, then ticket 4
+  // parked on epoch 2 while epochs 3 and 4 publish around it (running work
+  // is never bumped), so its `t` record ends the WAL. ---
+  ServiceResult parked_result;
+  {
+    const GatedAttack attack(&inner, {parked_node});
+    AttackService service(cfg);
+    const GateOpener opener{&attack};
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&attack),
+                                      /*dense_context=*/false).ok());
+    ASSERT_TRUE(service.Recover().status.ok());
+    for (size_t c = 0; c < 2; ++c) {
+      submit(&service, 2 * c);
+      submit(&service, 2 * c + 1);
+      service.Drain();
+      churn(&service, adds[c]);
+    }
+    submit(&service, ZU(parked));
+    WaitUntilWaveInFlight(service);
+    churn(&service, adds[2]);
+    churn(&service, adds[3]);
+    attack.Open(parked_node);
+    service.Drain();
+    parked_result = service.Take(parked);
+    ASSERT_TRUE(parked_result.result.status.ok());
+    EXPECT_EQ(parked_result.epoch, 2);
+  }
+
+  // --- Every ticket completed: recovery keeps the current epoch only,
+  // though no replayed result has been taken. ---
+  {
+    AttackService service(cfg);
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&inner),
+                                      /*dense_context=*/false).ok());
+    const RecoveryReport rec = service.Recover();
+    ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
+    EXPECT_EQ(rec.churn_batches, 4);
+    EXPECT_EQ(rec.replayed_results, 5);
+    EXPECT_EQ(rec.pending, 0);
+    EXPECT_EQ(service.CurrentEpoch("g"), 4);
+    EXPECT_EQ(service.stats().live_epochs, 1);
+  }
+
+  // --- Torn tail: ticket 4 comes back pending on epoch 2, so recovery
+  // holds epoch 2 and the current epoch 4, nothing in between. ---
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const size_t cut = text.rfind("\nt ");
+  ASSERT_NE(cut, std::string::npos);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text.substr(0, cut + 4);
+  }
+  {
+    const GatedAttack attack(&inner, {parked_node});
+    AttackService service(cfg);
+    const GateOpener opener{&attack};
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&attack),
+                                      /*dense_context=*/false).ok());
+    const RecoveryReport rec = service.Recover();
+    ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
+    EXPECT_EQ(rec.replayed_results, 4);
+    ASSERT_EQ(rec.pending, 1);
+    EXPECT_EQ(rec.pending_tickets[0], parked);
+    EXPECT_EQ(service.CurrentEpoch("g"), 4);
+    // Queued or parked at the gate, the ticket still pins epoch 2.
+    EXPECT_EQ(service.stats().live_epochs, 2);
+    attack.Open(parked_node);
+    service.Drain();
+    EXPECT_EQ(service.stats().live_epochs, 1);
+    ExpectSameServiceResult(service.Take(parked), parked_result,
+                            "recomputed parked ticket", /*replayed=*/false);
   }
   std::remove(path.c_str());
 }
