@@ -60,6 +60,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/io.h"
 #include "src/nn/trainer.h"
+#include "tests/churn_plan.h"
 
 namespace geattack {
 namespace {
@@ -483,34 +484,6 @@ struct ChurnSection {
   bool gate_ok = true;  // Stays true when the section is skipped.
 };
 
-/// Deterministic churn plan: `rounds` batches of `batch_edges` absent
-/// chords each, scanned in (u, v) order off a working copy so every batch
-/// stays valid after the previous ones applied.
-std::vector<ChurnBatch> PlanChurn(const Graph& graph, int64_t rounds,
-                                  int64_t batch_edges) {
-  Graph work = graph;
-  std::vector<ChurnBatch> plan;
-  int64_t u = 0;
-  int64_t v = 1;
-  for (int64_t r = 0; r < rounds; ++r) {
-    ChurnBatch batch;
-    while (static_cast<int64_t>(batch.added.size()) < batch_edges) {
-      if (v >= work.num_nodes()) {
-        ++u;
-        v = u + 1;
-      }
-      GEA_CHECK(u < work.num_nodes() - 1);
-      if (!work.HasEdge(u, v)) {
-        batch.added.push_back({u, v, 1.0});
-        work.AddEdge(u, v);
-      }
-      ++v;
-    }
-    plan.push_back(std::move(batch));
-  }
-  return plan;
-}
-
 ChurnSection RunChurnSection(const Scenario& s, bool quick) {
   ChurnSection sec;
   sec.n = s.data.num_nodes();
@@ -638,109 +611,6 @@ ChurnSection RunChurnSection(const Scenario& s, bool quick) {
             << " queued targets, per-epoch replay gate "
             << (sec.gate_ok ? "PASS" : "FAIL") << "\n";
   return sec;
-}
-
-// ---------------------------------------------------------------------------
-// Hidden crash-recovery child (driven by tools/crash_harness.py): a
-// deterministic submit → drain → churn script over a WAL-journaled service.
-// The harness SIGKILLs this process at random points and relaunches it;
-// every relaunch recovers from the journal, skips the already-durable
-// prefix of the script, and runs only the remainder — so the published
-// result file must be byte-identical to an uninterrupted run no matter
-// where the kill landed.  Output is published atomically (tmp + rename):
-// the harness never reads a torn file.
-// ---------------------------------------------------------------------------
-
-int RunCrashChild(const std::string& journal_path,
-                  const std::string& out_path, uint64_t seed) {
-  Scenario s = MakeScenario(160, /*dense_ok=*/false, /*feature_dim=*/32,
-                            /*budget_cap=*/2, /*num_targets=*/6);
-  GEA_CHECK(s.targets.size() >= 4);
-  const size_t num_targets = s.targets.size();
-  const FgaAttack attack(/*targeted=*/true, /*use_sparse=*/true);
-
-  AttackServiceConfig cfg;
-  cfg.base_seed = seed;
-  cfg.num_threads = 1;
-  cfg.wave_size = 2;
-  cfg.queue_capacity = 64;
-  cfg.max_attempts = 1;  // The byte-identity scope: no retries, no
-                         // deadlines, no shedding (no clock bits).
-  cfg.journal_path = journal_path;
-  AttackService service(cfg);
-  GEA_CHECK(service
-                .RegisterGraph("g", s.data, s.model,
-                               std::shared_ptr<const TargetedAttack>(
-                                   std::shared_ptr<const TargetedAttack>(),
-                                   &attack),
-                               /*dense_context=*/false)
-                .ok());
-  const RecoveryReport rep = service.Recover();
-  GEA_CHECK(rep.status.ok());
-  // Every admission and every churn batch is fsync'd before its call
-  // returns, so the durable prefix of the script is exactly what the WAL
-  // says happened: skip it and run the rest.
-  const size_t done_submits =
-      rep.completed_tickets.size() + rep.pending_tickets.size();
-  const int64_t done_churns = rep.churn_batches;
-
-  const std::vector<ChurnBatch> plan = PlanChurn(s.data.graph, 2, 3);
-
-  size_t next_submit = 0;
-  int64_t next_churn = 0;
-  const auto submit_step = [&] {
-    const size_t i = next_submit++;
-    if (i < done_submits) return;  // Durably admitted before the crash.
-    const PreparedTarget& t = s.targets[i % s.targets.size()];
-    AttackServiceRequest request;
-    request.graph = "g";
-    request.target_node = t.node;
-    request.target_label = t.target_label;
-    request.budget = t.budget;
-    const Admission admission = service.Submit(request);
-    GEA_CHECK(admission.status.ok());
-    GEA_CHECK(admission.ticket == static_cast<int64_t>(i));
-  };
-  const auto churn_step = [&] {
-    const int64_t j = next_churn++;
-    if (j < done_churns) return;  // Epoch already rebuilt from the WAL.
-    const ChurnResult cr = service.UpdateGraph("g", plan[ZU(j)]);
-    GEA_CHECK(cr.status.ok());
-  };
-
-  // The script: half the targets on epoch 0, churn, the rest on epoch 1,
-  // churn again so recovery must also restore a trailing epoch nobody
-  // computed on.
-  const size_t half = num_targets / 2;
-  for (size_t i = 0; i < half; ++i) submit_step();
-  service.Drain();
-  churn_step();
-  for (size_t i = half; i < num_targets; ++i) submit_step();
-  service.Drain();
-  churn_step();
-  service.Drain();
-
-  const std::string tmp_path = out_path + ".crash_tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    GEA_CHECK(out.good());
-    for (size_t i = 0; i < num_targets; ++i) {
-      const ServiceResult r = service.Take(static_cast<int64_t>(i));
-      out << i << ' ' << r.accepted_index << ' ' << r.attempts << ' '
-          << r.seed << ' ' << r.effective_budget << ' ' << r.epoch << ' '
-          << static_cast<int>(r.result.status.code()) << ' '
-          << r.result.added_edges.size();
-      for (const Edge& e : r.result.added_edges)
-        out << ' ' << e.u << ' ' << e.v;
-      out << '\n';
-    }
-    GEA_CHECK(out.good());
-  }
-  GEA_CHECK(std::rename(tmp_path.c_str(), out_path.c_str()) == 0);
-  std::cerr << "[bench_attack] crash child: " << num_targets
-            << " tickets published (" << done_submits << " submits, "
-            << done_churns << " churns recovered)\n";
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,13 +1045,8 @@ int RunHarness(const std::string& json_path, bool quick) {
     std::cerr << "cannot open " << json_path << " for writing\n";
     return 1;
   }
-  out << "{\n  \"bench\": \"attack\",\n  \"openmp\": "
-#ifdef _OPENMP
-      << "true"
-#else
-      << "false"
-#endif
-      << ",\n  \"quick\": " << (quick ? "true" : "false")
+  out << "{\n  \"bench\": \"attack\",\n  \"quick\": "
+      << (quick ? "true" : "false")
       << ",\n  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency()
       << ",\n  \"attack_threads\": " << threads
@@ -1307,35 +1172,16 @@ int RunHarness(const std::string& json_path, bool quick) {
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_attack.json";
   bool quick = false;
-  bool crash_child = false;
-  std::string journal_path;
-  std::string out_path;
-  uint64_t crash_seed = 1234;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       quick = true;
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
-    } else if (arg == "--crash-child") {
-      crash_child = true;
-    } else if (arg.rfind("--journal=", 0) == 0) {
-      journal_path = arg.substr(10);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      crash_seed = std::strtoull(arg.substr(7).c_str(), nullptr, 10);
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return 2;
     }
-  }
-  if (crash_child) {
-    if (journal_path.empty() || out_path.empty()) {
-      std::cerr << "--crash-child requires --journal=PATH and --out=PATH\n";
-      return 2;
-    }
-    return geattack::RunCrashChild(journal_path, out_path, crash_seed);
   }
   return geattack::RunHarness(json_path, quick);
 }

@@ -204,6 +204,18 @@ void WriteNullableMs(std::ostream& os, const char* key, double ms) {
   }
 }
 
+/// "model name" of the first CPU in /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon + 2 <= line.size())
+      return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
 int RunJsonHarness(const std::string& json_path) {
   const int64_t large_n = [] {
     const char* v = std::getenv("GEATTACK_BENCH_MICRO_LARGE_N");
@@ -313,14 +325,13 @@ int RunJsonHarness(const std::string& json_path) {
     std::cerr << "cannot open " << json_path << " for writing\n";
     return 1;
   }
-  out << "{\n  \"bench\": \"micro\",\n  \"openmp\": "
-#ifdef _OPENMP
-      << "true"
-#else
-      << "false"
-#endif
-      << ",\n  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n  \"forward\": [\n";
+  // Rows are best-of-3 (n <= 2000) or single runs; kernels are
+  // single-threaded, so hardware_concurrency only describes the host.
+  out << "{\n  \"bench\": \"micro\",\n  \"host\": {"
+      << "\"hardware_concurrency\": " << std::thread::hardware_concurrency()
+      << ", \"cpu\": \"" << CpuModel() << "\", \"compiler\": \""
+      << GEATTACK_COMPILER << "\", \"build_type\": \""
+      << GEATTACK_BUILD_TYPE << "\"},\n  \"forward\": [\n";
   for (size_t i = 0; i < forward.size(); ++i) {
     const ForwardRow& f = forward[i];
     out << "    {\"n\":" << f.n << ",\"edges\":" << f.edges << ",";

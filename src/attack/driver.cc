@@ -12,10 +12,6 @@
 #include "src/attack/journal.h"
 #include "src/graph/subgraph.h"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace geattack {
 
 uint64_t TargetSeed(uint64_t base_seed, int64_t target_index) {
@@ -393,27 +389,11 @@ std::vector<AttackResult> RunMultiTargetAttack(
   }
 
   WarmSharedCaches(ctx);
-#ifdef _OPENMP
-  // Split the machine's OpenMP budget across the workers so the row-parallel
-  // kernels inside each attack don't oversubscribe cores threads-fold.  The
-  // ICV is per-thread, and OpenMP team size never affects kernel *values*
-  // (rows are whole-row assigned, reductions never split), so this is a
-  // pure scheduling knob.
-  const int omp_budget = std::max(1, omp_get_max_threads() / threads);
-#endif
   StealingQueues queues(static_cast<int64_t>(groups.size()), threads);
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
   for (int w = 0; w < threads; ++w) {
-    workers.emplace_back([&queues, &run_group, w
-#ifdef _OPENMP
-                          ,
-                          omp_budget
-#endif
-    ] {
-#ifdef _OPENMP
-      omp_set_num_threads(omp_budget);
-#endif
+    workers.emplace_back([&queues, &run_group, w] {
       for (int64_t t = queues.Pop(w); t >= 0; t = queues.Pop(w)) run_group(t);
     });
   }

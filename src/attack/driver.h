@@ -17,10 +17,9 @@
 //      on which targets ran before it.
 //   2. Kernel determinism.  Every floating-point kernel in the library
 //      accumulates each output element sequentially (see SpmmAccumulate in
-//      src/tensor/csr.cc); OpenMP row-parallelism assigns whole rows to
-//      threads and never splits a reduction, so a target's attack computes
-//      the same bits no matter which worker runs it or what else runs
-//      concurrently.
+//      src/tensor/csr.cc) on the calling thread, so a target's attack
+//      computes the same bits no matter which worker runs it or what else
+//      runs concurrently.
 //
 // Shared-state audit (what makes concurrent Attack calls safe):
 //   * AttackScratch caches (CachedForward / CachedXw1 / CachedPenaltyBase)

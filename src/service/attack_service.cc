@@ -357,7 +357,8 @@ Admission AttackService::Submit(const AttackServiceRequest& request) {
                 " ms is below the feasibility floor"),
             -1};
   }
-  if (static_cast<int64_t>(pending_.size()) >= config_.queue_capacity) {
+  if (static_cast<int64_t>(pending_.size()) + retry_slots_ >=
+      config_.queue_capacity) {
     ++stats_.rejected_queue_full;
     return {Status::ResourceExhausted("submission queue full"), -1};
   }
@@ -643,6 +644,7 @@ void AttackService::DispatcherLoop() {
       requests.push_back(r);
       seeds.push_back(
           AttemptSeed(config_.base_seed, e->accepted_index, e->attempt));
+      if (e->attempt + 1 < config_.max_attempts) ++retry_slots_;
     }
     in_flight_ = static_cast<int64_t>(wave.size());
     stats_.queue_depth = static_cast<int64_t>(pending_.size());
@@ -690,6 +692,7 @@ void AttackService::DispatcherLoop() {
       }
     }
     in_flight_ = 0;
+    retry_slots_ = 0;
     stats_.queue_depth = static_cast<int64_t>(pending_.size());
     stats_.max_queue_depth =
         std::max(stats_.max_queue_depth, stats_.queue_depth);

@@ -125,7 +125,10 @@ struct AttackServiceConfig {
   /// Driver target-group size within a wave (see AttackDriverConfig).
   int batch_targets = 1;
   /// Bounded queue: Submit rejects with kResourceExhausted when this many
-  /// requests are already queued (in-flight waves do not count).
+  /// requests are already queued or hold a retry slot.  A running request
+  /// that may still be retried keeps its slot, so a retry re-queues without
+  /// ever pushing the depth past the capacity (with max_attempts = 1 no
+  /// running request holds one).
   int64_t queue_capacity = 64;
   /// Max targets dispatched per wave (one wave = one driver call over
   /// requests pinned to a single snapshot epoch).
@@ -419,6 +422,7 @@ class AttackService {
   int64_t next_ticket_ = 0;
   int64_t next_accepted_index_ = 0;
   int64_t in_flight_ = 0;
+  int64_t retry_slots_ = 0;           ///< Running entries that may requeue.
   bool stopping_ = false;
   bool recovered_ = false;            ///< Recover() already ran.
   ServiceStats stats_;

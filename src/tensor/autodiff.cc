@@ -418,9 +418,6 @@ Var SpmmValueGrad(std::shared_ptr<const CsrPattern> pattern, const Var& g,
   const double* gd = g.value().data().data();
   const double* bd = b.value().data().data();
   double* o = out.mutable_data().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-#endif
   for (int64_t i = 0; i < pattern->rows; ++i) {
     const double* grow = gd + i * k;
     for (int64_t e = pattern->row_ptr[ZU(i)];

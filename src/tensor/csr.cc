@@ -80,9 +80,6 @@ void SpmmAccumulate(const CsrPattern& pattern, const Tensor& dense,
   // 64 doubles = one 512-byte output tile per row: it stays resident in L1
   // while the kernel streams the (much larger) dense rows through it.
   constexpr int64_t kColTile = 64;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-#endif
   for (int64_t i = 0; i < pattern.rows; ++i) {
     const int64_t e0 = row_ptr[ZU(i)];
     const int64_t e1 = row_ptr[ZU(i + 1)];
@@ -108,9 +105,7 @@ void SpmmAccumulate(const CsrPattern& pattern, const Tensor& dense,
         const double v1 = value(e + 1, i);
         const double* GEA_RESTRICT b0 = b + col[e] * k;
         const double* GEA_RESTRICT b1 = b + col[e + 1] * k;
-#ifdef _OPENMP
 #pragma omp simd
-#endif
         for (int64_t j = j0; j < j1; ++j) {
           row_out[j] += v0 * b0[j];
           row_out[j] += v1 * b1[j];
@@ -119,9 +114,7 @@ void SpmmAccumulate(const CsrPattern& pattern, const Tensor& dense,
       if (e < e1) {
         const double v0 = value(e, i);
         const double* GEA_RESTRICT b0 = b + col[e] * k;
-#ifdef _OPENMP
 #pragma omp simd
-#endif
         for (int64_t j = j0; j < j1; ++j) row_out[j] += v0 * b0[j];
       }
     }
@@ -179,9 +172,6 @@ Tensor SpmmStackedRaw(const CsrPattern& pattern, const Tensor& values,
   // while the dense rows stream.  e is the outer loop, so each output
   // element still accumulates in ascending-e order — the determinism
   // contract of SpmmAccumulate.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-#endif
   for (int64_t i = 0; i < pattern.rows; ++i) {
     double* GEA_RESTRICT row_out = o + i * kb;
     for (int64_t e = row_ptr[ZU(i)]; e < row_ptr[ZU(i + 1)]; ++e) {
@@ -197,9 +187,7 @@ Tensor SpmmStackedRaw(const CsrPattern& pattern, const Tensor& values,
         // work per column proportional to that target's OWN slot count.
         if (vt == 0.0) continue;
         const int64_t j0 = t * b;
-#ifdef _OPENMP
 #pragma omp simd
-#endif
         for (int64_t j = j0; j < j0 + b; ++j) row_out[j] += vt * brow[j];
       }
     }
@@ -220,9 +208,6 @@ Tensor SpmmValueGradStackedRaw(const CsrPattern& pattern, const Tensor& g,
   const double* GEA_RESTRICT gd = g.data().data();
   const double* GEA_RESTRICT bd = b.data().data();
   double* GEA_RESTRICT o = out.mutable_data().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-#endif
   for (int64_t i = 0; i < pattern.rows; ++i) {
     const double* GEA_RESTRICT grow = gd + i * km;
     const int64_t e_end = pattern.row_ptr[ZU(i + 1)];
@@ -253,9 +238,6 @@ std::vector<double> NormDinv(const CsrPattern& pattern,
                              const double* out_deg) {
   const int64_t n = pattern.rows;
   std::vector<double> dinv(ZU(n));
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (int64_t i = 0; i < n; ++i) {
     double d = 0.0;
     for (int64_t e = pattern.row_ptr[ZU(i)]; e < pattern.row_ptr[ZU(i + 1)];
@@ -280,9 +262,6 @@ Tensor GcnNormValuesRaw(const CsrPattern& pattern,
   const int64_t* GEA_RESTRICT col = pattern.col_idx.data();
   const double* GEA_RESTRICT s = dinv.data();
   double* GEA_RESTRICT o = out.mutable_data().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (int64_t i = 0; i < pattern.rows; ++i) {
     const double si = s[i];
     for (int64_t e = pattern.row_ptr[ZU(i)]; e < pattern.row_ptr[ZU(i + 1)];
@@ -306,9 +285,6 @@ Tensor GcnNormValuesStackedRaw(const CsrPattern& pattern, const Tensor& values,
   const double* GEA_RESTRICT v = values.data().data();
   const double* GEA_RESTRICT od = out_deg.data().data();
   double* GEA_RESTRICT s = dinv.mutable_data().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t t = 0; t < k; ++t) {
       double d = 0.0;
@@ -322,9 +298,6 @@ Tensor GcnNormValuesStackedRaw(const CsrPattern& pattern, const Tensor& values,
   Tensor out(pattern.nnz(), k);
   const int64_t* GEA_RESTRICT col = pattern.col_idx.data();
   double* GEA_RESTRICT o = out.mutable_data().data();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (int64_t i = 0; i < pattern.rows; ++i) {
     const double* GEA_RESTRICT si = s + i * k;
     for (int64_t e = pattern.row_ptr[ZU(i)]; e < pattern.row_ptr[ZU(i + 1)];

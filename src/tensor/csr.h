@@ -9,8 +9,8 @@
 // (src/tensor/autodiff.h), which differentiate through the entry values
 // while the structure stays fixed.
 //
-// The row-parallel SpMM kernel uses OpenMP when compiled with it and falls
-// back to a serial loop otherwise.
+// Every kernel is single-threaded: parallelism comes only from the attack
+// driver's and the service's worker pools, which run whole targets.
 
 #ifndef GEATTACK_SRC_TENSOR_CSR_H_
 #define GEATTACK_SRC_TENSOR_CSR_H_
@@ -64,10 +64,10 @@ struct CsrPattern {
 /// Prefer CsrPattern::Transpose(), which caches the result.
 CsrTranspose TransposePattern(const CsrPattern& p);
 
-/// Raw row-parallel CSR × dense kernel: returns A·dense where A is given by
+/// Raw CSR × dense kernel: returns A·dense where A is given by
 /// (pattern, values).  dense must have pattern.cols rows.  The inner loop is
 /// cache-blocked over dense columns and vectorized (restrict-qualified
-/// pointers + OpenMP simd) while keeping the exact per-output accumulation
+/// pointers + `omp simd`) while keeping the exact per-output accumulation
 /// order of the naive kernel, so results are bit-identical across builds and
 /// tile sizes.
 Tensor SpmmRaw(const CsrPattern& pattern, const std::vector<double>& values,
@@ -164,7 +164,6 @@ class CsrMatrix {
   Tensor ToDense() const;
 
   /// Sparse × dense product: this (m x n) · dense (n x k) -> (m x k).
-  /// Row-parallel via OpenMP.
   Tensor SpMM(const Tensor& dense) const;
 
   CsrMatrix Transposed() const;

@@ -41,6 +41,13 @@ int64_t CountLarge(const std::unordered_map<int64_t, int64_t>& sizes) {
   return count;
 }
 
+// `omp simd` over independent accumulators vectorizes without threads or
+// reassociation (-fopenmp-simd): the kernels' sanctioned form.
+void Axpy(double a, const double* x, double* y, int64_t n) {
+#pragma omp simd
+  for (int64_t j = 0; j < n; ++j) y[j] += a * x[j];
+}
+
 // A once_flag-guarded cache is the sanctioned lazy-init pattern.
 class GuardedCache {
  public:

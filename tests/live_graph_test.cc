@@ -1044,5 +1044,61 @@ TEST(EpochLifetimeTest, RecoverHoldsOnlyCurrentAndPendingEpochs) {
   std::remove(path.c_str());
 }
 
+// ---------------------------------------------------------------------------
+// Bounded queue: a retry re-queues into a slot its request kept while it ran.
+// ---------------------------------------------------------------------------
+
+TEST(QueueBoundTest, RetryOfARunningRequestNeverOverflowsTheQueue) {
+  Fixture* f = SharedFixture();
+  ASSERT_GE(f->requests.size(), 3u);
+  const FgaAttack fga(/*targeted=*/true);
+  FaultInjectingAttack faulty(&fga);
+  const int64_t failing_node = f->requests[0].target_node;
+  faulty.InjectAt(failing_node, {FaultKind::kThrow});
+
+  // The failing request parks in flight while two more are submitted; with
+  // retries on, its kept slot leaves room for only one of them.  Without
+  // retries nothing holds a slot and both are admitted, as before.
+  for (const int max_attempts : {1, 2}) {
+    SCOPED_TRACE("max_attempts " + std::to_string(max_attempts));
+    const GatedAttack attack(&faulty, {failing_node});
+    AttackServiceConfig cfg;
+    cfg.base_seed = 4409;
+    cfg.num_threads = 1;
+    cfg.wave_size = 1;
+    cfg.queue_capacity = 2;
+    cfg.max_attempts = max_attempts;
+    AttackService service(cfg);
+    const GateOpener opener{&attack};
+    ASSERT_TRUE(service.RegisterGraph("g", f->data, *f->model, NoOwn(&attack),
+                                      /*dense_context=*/false).ok());
+
+    const Admission failing = service.Submit(RequestOf(f->requests[0]));
+    ASSERT_TRUE(failing.status.ok()) << failing.status.ToString();
+    WaitUntilWaveInFlight(service);
+    const Admission second = service.Submit(RequestOf(f->requests[1]));
+    ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+    const Admission third = service.Submit(RequestOf(f->requests[2]));
+    if (max_attempts == 1) {
+      EXPECT_TRUE(third.status.ok()) << third.status.ToString();
+    } else {
+      EXPECT_EQ(third.status.code(), StatusCode::kResourceExhausted);
+    }
+
+    attack.Open(failing_node);
+    service.Drain();
+    const ServiceStats st = service.stats();
+    EXPECT_LE(st.max_queue_depth, cfg.queue_capacity);
+    EXPECT_EQ(st.retried, max_attempts - 1);
+    const ServiceResult r = service.Take(failing.ticket);
+    EXPECT_EQ(r.result.status.code(), StatusCode::kError);
+    EXPECT_EQ(r.attempts, max_attempts);
+    EXPECT_TRUE(service.Take(second.ticket).result.status.ok());
+    if (third.status.ok()) {
+      EXPECT_TRUE(service.Take(third.ticket).result.status.ok());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace geattack

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Kill -9 crash-recovery harness for the WAL-journaled attack service.
 
-Drives the hidden ``bench_attack --crash-child`` mode: a deterministic
+Drives ``crash_child`` (tests/crash_child.cc): a deterministic
 submit -> drain -> churn script over a journaled AttackService that
 publishes its final per-ticket results (seed, epoch, effective budget,
 edge picks) to a text file via atomic rename.
@@ -22,7 +22,7 @@ Protocol:
 Exit 0 on success, 1 on any mismatch or child failure.  Registered as
 the ``crash_harness`` ctest (and a CI job); run manually with:
 
-  python3 tools/crash_harness.py --bench build/bench_attack
+  python3 tools/crash_harness.py --child build/crash_child
 """
 
 import argparse
@@ -36,15 +36,14 @@ import tempfile
 import time
 
 
-def run_child(bench, journal, out, seed, kill_after=None):
+def run_child(child, journal, out, seed, kill_after=None):
     """One child run.  Returns (returncode, killed).
 
     With ``kill_after`` (seconds), SIGKILLs the child after that delay
     unless it exits first — returncode is then -SIGKILL and killed=True.
     """
     cmd = [
-        bench,
-        "--crash-child",
+        child,
         "--journal=" + journal,
         "--out=" + out,
         "--seed=" + str(seed),
@@ -62,7 +61,7 @@ def run_child(bench, journal, out, seed, kill_after=None):
         return -signal.SIGKILL, True
 
 
-def run_to_completion(bench, journal, out, seed, rng, max_launches, ref_t):
+def run_to_completion(child, journal, out, seed, rng, max_launches, ref_t):
     """Crash loop for one iteration: kill, relaunch, until a clean exit.
 
     Returns the number of kills inflicted.  Kill delays are scaled to the
@@ -76,7 +75,7 @@ def run_to_completion(bench, journal, out, seed, rng, max_launches, ref_t):
         kill_after = (
             None if last else max(0.003, rng.uniform(0.05, 0.95) * ref_t)
         )
-        rc, killed = run_child(bench, journal, out, seed, kill_after)
+        rc, killed = run_child(child, journal, out, seed, kill_after)
         if killed:
             kills += 1
             continue
@@ -93,7 +92,7 @@ def run_to_completion(bench, journal, out, seed, rng, max_launches, ref_t):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--bench", required=True, help="path to the bench_attack binary"
+        "--child", required=True, help="path to the crash_child binary"
     )
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument(
@@ -115,8 +114,8 @@ def main():
     )
     args = parser.parse_args()
 
-    if not os.path.exists(args.bench):
-        print("FAIL: bench binary not found: " + args.bench, file=sys.stderr)
+    if not os.path.exists(args.child):
+        print("FAIL: child binary not found: " + args.child, file=sys.stderr)
         return 1
 
     work = args.work_dir or tempfile.mkdtemp(prefix="geattack_crash_")
@@ -128,7 +127,7 @@ def main():
         ref_out = os.path.join(work, "reference.txt")
         ref_t0 = time.monotonic()
         rc, _ = run_child(
-            args.bench,
+            args.child,
             os.path.join(work, "reference_journal.txt"),
             ref_out,
             args.seed,
@@ -154,7 +153,7 @@ def main():
             journal = os.path.join(work, "journal_%d.txt" % it)
             out = os.path.join(work, "out_%d.txt" % it)
             kills = run_to_completion(
-                args.bench,
+                args.child,
                 journal,
                 out,
                 args.seed,

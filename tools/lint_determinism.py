@@ -19,10 +19,18 @@ stops the cheapest ways of breaking it from entering the tree at all:
                         src/graph.  Hash-order iteration is
                         implementation-defined; anything result-affecting
                         must iterate a sorted container or sort first.
-  fp-omp-reduction      OpenMP `reduction(...)` clauses.  OpenMP reductions
-                        accumulate in nondeterministic order; every kernel
-                        here instead accumulates per-element in ascending-e
-                        order (see SpmmAccumulate in src/tensor/csr.cc).
+  omp-parallel          OpenMP threading in src/: any `omp` pragma other
+                        than `omp simd` / `omp declare simd` (parallel,
+                        for, task, ...), `#include <omp.h>` and `omp_*`
+                        runtime calls.  Threads come only from the attack
+                        driver's and the service's std::thread pools; a
+                        second scheduler nested inside them oversubscribes
+                        every core and hides its threads from TSan.
+  fp-omp-reduction      OpenMP `reduction(...)` clauses, `omp simd` ones
+                        included.  OpenMP reductions accumulate in
+                        nondeterministic order; every kernel here instead
+                        accumulates per-element in ascending-e order (see
+                        SpmmAccumulate in src/tensor/csr.cc).
   fast-math             -ffast-math / -funsafe-math-optimizations / -Ofast /
                         fast-math pragmas anywhere in sources or build
                         files.  These license FP reassociation, which breaks
@@ -67,13 +75,20 @@ BANNED_RNG_ALLOWED = ("src/tensor/random.h",)
 # produced; these are the subsystems the bit-identity gates cover.
 UNORDERED_SCOPE = ("src/attack", "src/nn", "src/graph")
 
-KNOWN_CHECKS = ("banned-rng", "unordered-iteration", "fp-omp-reduction",
-                "fast-math", "unguarded-mutable")
+KNOWN_CHECKS = ("banned-rng", "unordered-iteration", "omp-parallel",
+                "fp-omp-reduction", "fast-math", "unguarded-mutable")
 
 SUPPRESS_RE = re.compile(r"lint-ok:\s*([\w-]+)")
 
 BANNED_RNG_RE = re.compile(
     r"\bstd::rand\b|\bsrand\s*\(|\brandom_device\b|\bmt19937(?:_64)?\b")
+# Every OpenMP construct but vectorization: `omp simd` and `omp declare
+# simd` start no thread and need no runtime (-fopenmp-simd).
+OMP_PARALLEL_RE = re.compile(
+    r"(?:#\s*pragma|_Pragma\s*\(\s*\")\s*omp\s+"
+    r"(?!(?:declare\s+)?simd\b)\w+"
+    r"|#\s*include\s*[<\"]omp\.h[>\"]"
+    r"|\bomp_\w+\s*\(")
 OMP_REDUCTION_RE = re.compile(r"#\s*pragma\s+omp\b.*\breduction\s*\(")
 FAST_MATH_RE = re.compile(
     r"-ffast-math|-funsafe-math-optimizations|-Ofast\b"
@@ -176,6 +191,7 @@ def check_source_file(relpath, text, unordered_in_scope):
             findings.append(Finding(relpath, line_no, check, message))
 
     rng_allowed = any(relpath.endswith(a) for a in BANNED_RNG_ALLOWED)
+    in_src = relpath.startswith("src" + os.sep)
     unordered_names = set()
 
     for idx, line in enumerate(code_lines, start=1):
@@ -185,6 +201,13 @@ def check_source_file(relpath, text, unordered_in_scope):
                 add(idx, "banned-rng",
                     f"'{m.group(0)}' outside src/tensor/random.h; use a "
                     "seeded Rng (TargetSeed stream in attack workers)")
+        if in_src:
+            m = OMP_PARALLEL_RE.search(line)
+            if m:
+                add(idx, "omp-parallel",
+                    f"'{m.group(0).strip()}': src/ starts no threads of its "
+                    "own; parallelism belongs to the driver and service "
+                    "pools (only `omp simd` is allowed)")
         if OMP_REDUCTION_RE.search(line):
             add(idx, "fp-omp-reduction",
                 "OpenMP reduction accumulates in nondeterministic order; "
